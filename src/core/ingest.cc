@@ -171,6 +171,7 @@ IngestSnapshot IngestManager::snapshot() const {
   s.absorb_failures = absorb_failures_;
   s.delta_rows = delta_ == nullptr ? 0 : delta_->num_rows();
   s.total_rows = engine_->table().num_rows() + rows_committed_;
+  s.delta = delta_;
   return s;
 }
 

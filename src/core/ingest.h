@@ -90,6 +90,9 @@ struct IngestSnapshot {
   size_t delta_rows = 0;
   // Base-table rows + every committed row (what COUNT(*) should report).
   uint64_t total_rows = 0;
+  // The delta as of committed_generation, read under the same lock as the
+  // counters, so a fold over it matches the generation it reports.
+  std::shared_ptr<const Table> delta;
 };
 
 class IngestManager {

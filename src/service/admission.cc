@@ -1,7 +1,6 @@
 #include "service/admission.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/clock.h"
 #include "common/failpoint.h"
@@ -16,7 +15,6 @@ struct AdmissionMetrics {
   obs::Counter* admitted;
   obs::Counter* rejected;
   obs::Counter* completed;
-  obs::Histogram* batch_window_wait;
   static const AdmissionMetrics& Get() {
     auto& reg = obs::Registry::Global();
     static const AdmissionMetrics m = {
@@ -28,10 +26,6 @@ struct AdmissionMetrics {
                        "Requests rejected with retry-after backpressure."),
         reg.GetCounter("aqpp_admission_completed_total", "",
                        "Requests completed by admission workers."),
-        reg.GetHistogram(
-            "aqpp_batch_window_wait_seconds", "",
-            {0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01},
-            "Seconds a lone batch leader waited for same-key company."),
     };
     return m;
   }
@@ -104,12 +98,6 @@ Status AdmissionController::Submit(uint64_t session_id, Job job,
     AdmissionMetrics::Get().admitted->Increment();
     AdmissionMetrics::Get().queue_depth->Set(
         static_cast<int64_t>(total_queued_));
-    if (batchable) {
-      // A window-waiting leader may be the batch this job should join;
-      // notify_one could wake a different worker and strand it.
-      cv_.notify_all();
-      return Status::OK();
-    }
   }
   cv_.notify_one();
   return Status::OK();
@@ -183,23 +171,9 @@ void AdmissionController::WorkerLoop() {
         }
       }
       if (batchable) {
-        // Queue-depth trigger: same-key backlog joins immediately.
+        // Same-key backlog joins the popped job; a lone job runs solo at
+        // once, since batching pays only when a backlog exists.
         CollectBatchLocked(job.batch_key, &followers);
-        if (followers.empty() && options_.batch_window_seconds > 0) {
-          // Lone leader: hold the collection window open for company. Any
-          // same-key Submit (or Stop) ends it early.
-          SteadyTime wait_start = SteadyNow();
-          cv_.wait_for(
-              lock,
-              std::chrono::duration<double>(options_.batch_window_seconds),
-              [this, &job] {
-                return stopping_ ||
-                       batchable_queued_.count(job.batch_key) > 0;
-              });
-          AdmissionMetrics::Get().batch_window_wait->Observe(
-              SecondsBetween(wait_start, SteadyNow()));
-          if (!stopping_) CollectBatchLocked(job.batch_key, &followers);
-        }
         if (!followers.empty()) {
           ++stats_.batches_formed;
           stats_.batch_members += followers.size() + 1;

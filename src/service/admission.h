@@ -50,12 +50,10 @@ struct AdmissionOptions {
   double retry_floor_seconds = 0.01;
   // Shared-scan batch formation. A worker that pops a job with a non-empty
   // batch_key gathers every queued same-key job (across sessions) into one
-  // batch and hands them all to the popped job's run_batch. If the popped
-  // job is alone, the worker waits up to batch_window_seconds for company —
-  // any same-key arrival (or Stop()) ends the wait early, and a backlog that
-  // already holds same-key jobs skips it entirely (queue-depth trigger).
-  // 0 disables the wait; batches then form only from the existing backlog.
-  double batch_window_seconds = 0.001;
+  // batch and hands them all to the popped job's run_batch. A popped job
+  // with no same-key company runs solo at once: there is no collection
+  // window, because batching pays only under backlog, and a backlog batches
+  // on its own.
   // Master switch: false degrades every job to solo run() (ablation).
   bool enable_batching = true;
   // Test seam: invoked by a worker right before it runs a job.
@@ -134,8 +132,8 @@ class AdmissionController {
   std::unordered_map<uint64_t, std::deque<Job>> queues_;
   // Sessions with pending work, in service order (rotated on each pop).
   std::deque<uint64_t> round_robin_;
-  // Queued (not yet popped) jobs per non-empty batch_key; lets the window
-  // wait and the queue-depth trigger check for company in O(1).
+  // Queued (not yet popped) jobs per non-empty batch_key; lets a popping
+  // worker check for same-key company in O(1).
   std::unordered_map<std::string, size_t> batchable_queued_;
   AdmissionStats stats_;
   std::vector<std::thread> workers_;

@@ -116,16 +116,14 @@ void ServiceServer::AcceptLoop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load() || active_fds_.size() >= options_.max_connections) {
+    if (!running_.load() ||
+        !connections_.Start(fd, options_.max_connections,
+                            [this](int conn) { HandleConnection(conn); })) {
       SendAll(fd, FormatResponse(Response::Error(
                       "ResourceExhausted", "connection limit reached")) +
                       "\n");
       ::close(fd);
-      continue;
     }
-    active_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -458,9 +456,6 @@ void ServiceServer::HandleConnection(int fd) {
                     StatusCodeToString(session.status().code()),
                     session.status().message())) +
                     "\n");
-    ::close(fd);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    active_fds_.erase(fd);
     return;
   }
   ConnState conn;
@@ -513,18 +508,14 @@ void ServiceServer::HandleConnection(int fd) {
     }
   }
   (void)service_->sessions().Close(conn.session_id);
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(fd);
 }
 
 size_t ServiceServer::active_connections() const {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  return active_fds_.size();
+  return connections_.open();
 }
 
 void ServiceServer::Stop() {
-  bool was_running = running_.exchange(false);
+  running_.store(false);
   // Close before resetting so a racing accept() fails rather than blocking;
   // the slot is reset only after the accept thread can no longer read it.
   if (int fd = listen_fd_.exchange(-1); fd >= 0) {
@@ -532,20 +523,7 @@ void ServiceServer::Stop() {
     ::close(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    // Unblock recv() in every connection thread.
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  (void)was_running;
+  connections_.ShutdownAndJoin();
 }
 
 }  // namespace aqpp

@@ -15,13 +15,11 @@
 #define AQPP_SERVICE_SERVER_H_
 
 #include <atomic>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "common/status.h"
+#include "service/connection_threads.h"
 #include "service/service.h"
 #include "storage/table.h"
 
@@ -96,9 +94,7 @@ class ServiceServer {
   int port_ = 0;
   std::atomic<bool> running_{false};
   std::thread accept_thread_;
-  mutable std::mutex conn_mu_;
-  std::unordered_set<int> active_fds_;
-  std::vector<std::thread> conn_threads_;
+  ConnectionThreads connections_;
 };
 
 }  // namespace aqpp

@@ -189,12 +189,14 @@ Status QueryService::FoldDeltaLocked(const RangeQuery& query,
   out->ingest_generation = snap.committed_generation;
   out->delta_rows = snap.delta_rows;
   if (!IngestManager::FoldSupported(query.func)) return Status::OK();
-  std::shared_ptr<const Table> delta = ingest_->delta();
-  if (delta == nullptr || delta->num_rows() == 0) {
+  // Fold the delta of the same snapshot: a separate delta() read could see
+  // a batch committed after the generation reported above.
+  if (snap.delta == nullptr || snap.delta->num_rows() == 0) {
     out->delta_folded = true;  // nothing to fold is an exact fold
     return Status::OK();
   }
-  AQPP_ASSIGN_OR_RETURN(double shift, IngestManager::FoldValue(*delta, query));
+  AQPP_ASSIGN_OR_RETURN(double shift,
+                        IngestManager::FoldValue(*snap.delta, query));
   out->ci.estimate += shift;  // exact shift: the interval width is unchanged
   out->delta_folded = true;
   return Status::OK();

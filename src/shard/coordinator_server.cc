@@ -90,16 +90,14 @@ void CoordinatorServer::AcceptLoop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load() || active_fds_.size() >= options_.max_connections) {
+    if (!running_.load() ||
+        !connections_.Start(fd, options_.max_connections,
+                            [this](int conn) { HandleConnection(conn); })) {
       SendAll(fd, FormatResponse(Response::Error(
                       "ResourceExhausted", "connection limit reached")) +
                       "\n");
       ::close(fd);
-      continue;
     }
-    active_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -217,31 +215,16 @@ void CoordinatorServer::HandleConnection(int fd) {
       }
     }
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(fd);
 }
 
 void CoordinatorServer::Stop() {
-  bool was_running = running_.exchange(false);
+  running_.store(false);
   if (int fd = listen_fd_.exchange(-1); fd >= 0) {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  (void)was_running;
+  connections_.ShutdownAndJoin();
 }
 
 }  // namespace shard

@@ -7,11 +7,9 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <condition_variable>
 #include <cstring>
 
-#include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -29,7 +27,6 @@ namespace {
 struct BatcherMetrics {
   obs::Counter* fused;
   obs::Histogram* batch_size;
-  obs::Histogram* window_wait;
   static const BatcherMetrics& Get() {
     auto& reg = obs::Registry::Global();
     static const BatcherMetrics m = {
@@ -38,10 +35,6 @@ struct BatcherMetrics {
             "Member queries answered by fused shared-scan batch passes."),
         reg.GetHistogram("aqpp_batch_size", "", {1, 2, 4, 8, 16, 32, 64},
                          "Queries fused per shared-scan batch pass."),
-        reg.GetHistogram(
-            "aqpp_batch_window_wait_seconds", "",
-            {0.0001, 0.00025, 0.0005, 0.001, 0.002, 0.005, 0.01},
-            "Seconds a lone batch leader waited for same-key company."),
     };
     return m;
   }
@@ -50,33 +43,24 @@ struct BatcherMetrics {
 }  // namespace
 
 // Fuses concurrent PARTIAL requests into single ShardWorker::PartialBatch
-// calls. A submitting thread with no active leader becomes one: it waits
-// briefly for company when alone, then executes everything queued and fans
-// the per-member results out. Followers park until their slot is fulfilled;
-// arrivals during an execution form the next batch.
+// calls. A submitting thread with no active leader becomes one: it executes
+// everything queued at once — a lone request runs solo, it never waits for
+// company — and fans the per-member results out. Followers park until their
+// slot is fulfilled; arrivals during an execution form the next batch.
 class PartialBatcher {
  public:
-  PartialBatcher(const ShardWorker* worker, double window_seconds)
-      : worker_(worker), window_seconds_(window_seconds) {}
+  explicit PartialBatcher(const ShardWorker* worker) : worker_(worker) {}
 
   Result<ShardPartial> Submit(ShardWorker::PartialRequest req) {
     auto slot = std::make_shared<Slot>(std::move(req));
     std::unique_lock<std::mutex> lock(mu_);
     pending_.push_back(slot);
-    cv_.notify_all();  // a window-waiting leader collects us immediately
     for (;;) {
       if (slot->done) return std::move(slot->result);
       if (!leader_active_) break;
       cv_.wait(lock);
     }
     leader_active_ = true;
-    if (pending_.size() == 1 && window_seconds_ > 0) {
-      SteadyTime wait_start = SteadyNow();
-      cv_.wait_for(lock, std::chrono::duration<double>(window_seconds_),
-                   [this] { return pending_.size() > 1; });
-      BatcherMetrics::Get().window_wait->Observe(
-          SecondsBetween(wait_start, SteadyNow()));
-    }
     std::vector<std::shared_ptr<Slot>> batch;
     batch.swap(pending_);
     lock.unlock();
@@ -113,7 +97,6 @@ class PartialBatcher {
   };
 
   const ShardWorker* worker_;
-  double window_seconds_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool leader_active_ = false;
@@ -171,8 +154,7 @@ WorkerServer::WorkerServer(const ShardWorker* worker,
                            WorkerServerOptions options)
     : worker_(worker), options_(std::move(options)) {
   if (options_.enable_batching) {
-    batcher_ = std::make_unique<PartialBatcher>(
-        worker_, options_.batch_window_seconds);
+    batcher_ = std::make_unique<PartialBatcher>(worker_);
   }
 }
 
@@ -225,16 +207,14 @@ void WorkerServer::AcceptLoop() {
     }
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    if (!running_.load() || active_fds_.size() >= options_.max_connections) {
+    if (!running_.load() ||
+        !connections_.Start(fd, options_.max_connections,
+                            [this](int conn) { HandleConnection(conn); })) {
       SendAll(fd, FormatResponse(Response::Error(
                       "ResourceExhausted", "connection limit reached")) +
                       "\n");
       ::close(fd);
-      continue;
     }
-    active_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { HandleConnection(fd); });
   }
 }
 
@@ -384,36 +364,20 @@ void WorkerServer::HandleConnection(int fd) {
       }
     }
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  active_fds_.erase(fd);
 }
 
 size_t WorkerServer::active_connections() const {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  return active_fds_.size();
+  return connections_.open();
 }
 
 void WorkerServer::Stop() {
-  bool was_running = running_.exchange(false);
+  running_.store(false);
   if (int fd = listen_fd_.exchange(-1); fd >= 0) {
     ::shutdown(fd, SHUT_RDWR);
     ::close(fd);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : active_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  (void)was_running;
+  connections_.ShutdownAndJoin();
 }
 
 }  // namespace shard

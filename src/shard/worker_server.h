@@ -23,13 +23,11 @@
 
 #include <atomic>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
-#include <vector>
 
 #include "common/status.h"
+#include "service/connection_threads.h"
 #include "shard/worker.h"
 
 namespace aqpp {
@@ -43,12 +41,12 @@ struct WorkerServerOptions {
   int backlog = 64;
   size_t max_connections = 64;
   // Fuse concurrent PARTIAL requests (one per connection thread) into single
-  // ShardWorker::PartialBatch calls. A lone request holds a short collection
-  // window open for company; requests that arrive while a batch executes
-  // form the next one. False is the per-request ablation baseline; answers
+  // ShardWorker::PartialBatch calls: requests that arrive while a pass runs
+  // form the next one, and a lone request runs at once. There is no
+  // collection window — batching pays only under backlog, and a backlog
+  // batches on its own. False is the per-request ablation baseline; answers
   // are bit-identical either way.
   bool enable_batching = true;
-  double batch_window_seconds = 0.0005;
 };
 
 class WorkerServer {
@@ -78,9 +76,7 @@ class WorkerServer {
   int port_ = 0;
   std::atomic<bool> running_{false};
   std::thread accept_thread_;
-  mutable std::mutex conn_mu_;
-  std::unordered_set<int> active_fds_;
-  std::vector<std::thread> conn_threads_;
+  ConnectionThreads connections_;
 };
 
 }  // namespace shard

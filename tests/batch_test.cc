@@ -25,8 +25,11 @@
 #include "exec/executor.h"
 #include "kernels/source_scan.h"
 #include "service/admission.h"
+#include "service/client.h"
 #include "service/service.h"
+#include "shard/partial.h"
 #include "shard/worker.h"
+#include "shard/worker_server.h"
 #include "storage/column_source.h"
 #include "storage/extent_file.h"
 #include "test_util.h"
@@ -192,6 +195,26 @@ TEST_F(BatchSourceTest, FusedSourceBatchMatchesSoloOnBothSourceFlavors) {
 // Shard PARTIAL batching: fused partials == solo partials, bit for bit.
 // ---------------------------------------------------------------------------
 
+// Every answer field of two partials, compared bit for bit.
+void ExpectSamePartial(const shard::ShardPartial& a,
+                       const shard::ShardPartial& b, size_t member) {
+  ASSERT_EQ(a.blocks.size(), b.blocks.size()) << "member " << member;
+  for (size_t blk = 0; blk < a.blocks.size(); ++blk) {
+    EXPECT_EQ(a.blocks[blk].count, b.blocks[blk].count);
+    for (size_t l = 0; l < kernels::kAccumulatorLanes; ++l) {
+      EXPECT_EQ(Bits(a.blocks[blk].sum[l]), Bits(b.blocks[blk].sum[l]));
+      EXPECT_EQ(Bits(a.blocks[blk].sum_sq[l]), Bits(b.blocks[blk].sum_sq[l]));
+    }
+  }
+  EXPECT_EQ(Bits(a.stratum.mean_c), Bits(b.stratum.mean_c)) << member;
+  EXPECT_EQ(Bits(a.stratum.mean_s), Bits(b.stratum.mean_s)) << member;
+  EXPECT_EQ(Bits(a.stratum.mean_q), Bits(b.stratum.mean_q)) << member;
+  EXPECT_EQ(Bits(a.stratum.var_s), Bits(b.stratum.var_s)) << member;
+  EXPECT_EQ(Bits(a.stratum.cov_cs), Bits(b.stratum.cov_cs)) << member;
+  EXPECT_EQ(Bits(a.engine_estimate), Bits(b.engine_estimate)) << member;
+  EXPECT_EQ(Bits(a.engine_half_width), Bits(b.engine_half_width)) << member;
+}
+
 TEST(BatchShardTest, PartialBatchMatchesSoloPartialsBitForBit) {
   auto table = testutil::MakeSynthetic({.rows = 65536 * 2});
   QueryTemplate tmpl;
@@ -238,24 +261,75 @@ TEST(BatchShardTest, PartialBatchMatchesSoloPartialsBitForBit) {
     }
     ASSERT_TRUE(fused[i].ok()) << "member " << i << ": "
                                << fused[i].status().ToString();
-    const shard::ShardPartial& a = *fused[i];
-    const shard::ShardPartial& b = *solo;
-    ASSERT_EQ(a.blocks.size(), b.blocks.size()) << "member " << i;
-    for (size_t blk = 0; blk < a.blocks.size(); ++blk) {
-      EXPECT_EQ(a.blocks[blk].count, b.blocks[blk].count);
-      for (size_t l = 0; l < kernels::kAccumulatorLanes; ++l) {
-        EXPECT_EQ(Bits(a.blocks[blk].sum[l]), Bits(b.blocks[blk].sum[l]));
-        EXPECT_EQ(Bits(a.blocks[blk].sum_sq[l]),
-                  Bits(b.blocks[blk].sum_sq[l]));
+    ExpectSamePartial(*fused[i], *solo, i);
+  }
+}
+
+TEST(BatchShardTest, ConcurrentTcpPartialsMatchSoloPartialsBitForBit) {
+  // Concurrent PARTIALs over TCP reach the worker server's batcher, which
+  // fuses whatever arrives while a pass runs. Which requests share a pass is
+  // up to the scheduler; every reply must be the solo answer regardless.
+  auto table = testutil::MakeSynthetic({.rows = 65536 * 2});
+  QueryTemplate tmpl;
+  tmpl.agg_column = 2;
+  tmpl.condition_columns = {0, 1};
+  shard::ShardWorkerOptions wopts;
+  wopts.sample_size = 2048;
+  auto worker = shard::ShardWorker::Build(table, tmpl, 0, 2, 0, wopts);
+  ASSERT_TRUE(worker.ok()) << worker.status().ToString();
+  shard::WorkerServer server(worker->get());
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kConnections = 16;
+  constexpr size_t kRounds = 4;
+  Rng rng = testutil::MakeTestRng(8104);
+  std::vector<shard::PartialSpec> specs;
+  for (size_t i = 0; i < kConnections * kRounds; ++i) {
+    shard::PartialSpec spec;
+    spec.query.func =
+        i % 2 == 0 ? AggregateFunction::kSum : AggregateFunction::kCount;
+    spec.query.agg_column = 2;
+    int64_t lo = rng.NextInt(1, 80);
+    spec.query.predicate.Add({0, lo, rng.NextInt(lo, 100)});
+    spec.wants = {.exact = true, .sample = true, .engine = true};
+    spec.seed = 2000 + i;
+    specs.push_back(spec);
+  }
+
+  std::vector<Result<shard::ShardPartial>> replies(
+      specs.size(), Status::Internal("not sent"));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = ServiceClient::Connect("127.0.0.1", server.port());
+      ++ready;
+      while (ready.load() < kConnections) std::this_thread::yield();
+      if (!client.ok()) return;
+      for (size_t r = 0; r < kRounds; ++r) {
+        const size_t i = r * kConnections + c;
+        auto reply =
+            client->Call("PARTIAL " + shard::FormatPartialSpec(specs[i]));
+        if (!reply.ok()) {
+          replies[i] = reply.status();
+        } else if (!reply->ok) {
+          replies[i] = Status::Internal("worker error: " + reply->message);
+        } else {
+          replies[i] = shard::ParsePartial(*reply);
+        }
       }
-    }
-    EXPECT_EQ(Bits(a.stratum.mean_c), Bits(b.stratum.mean_c)) << i;
-    EXPECT_EQ(Bits(a.stratum.mean_s), Bits(b.stratum.mean_s)) << i;
-    EXPECT_EQ(Bits(a.stratum.mean_q), Bits(b.stratum.mean_q)) << i;
-    EXPECT_EQ(Bits(a.stratum.var_s), Bits(b.stratum.var_s)) << i;
-    EXPECT_EQ(Bits(a.stratum.cov_cs), Bits(b.stratum.cov_cs)) << i;
-    EXPECT_EQ(Bits(a.engine_estimate), Bits(b.engine_estimate)) << i;
-    EXPECT_EQ(Bits(a.engine_half_width), Bits(b.engine_half_width)) << i;
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  server.Stop();
+
+  for (size_t i = 0; i < specs.size(); ++i) {
+    ASSERT_TRUE(replies[i].ok()) << "member " << i << ": "
+                                 << replies[i].status().ToString();
+    auto solo = (*worker)->Partial(specs[i].query, specs[i].wants,
+                                   specs[i].seed);
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    ExpectSamePartial(*replies[i], *solo, i);
   }
 }
 
@@ -325,11 +399,10 @@ TEST(BatchAdmissionTest, QueuedSameKeyJobsFormOneBatch) {
 }
 
 TEST(BatchAdmissionTest, LoneBatchableJobRunsSoloAndDisabledBatchingNeverGroups) {
-  // Lone job: no company arrives, the window closes, run() executes it.
+  // Lone job: no same-key company is queued, so run() executes it solo.
   {
     AdmissionOptions opts;
     opts.num_workers = 1;
-    opts.batch_window_seconds = 0.002;
     AdmissionController ctrl(opts);
     std::promise<void> done;
     AdmissionController::Job job;

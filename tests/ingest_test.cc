@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -619,6 +620,70 @@ TEST_F(IngestServiceTest, OnlineRoundsAreMonotoneSeededAndShiftWithDelta) {
                                  &avg_rounds)
                   .ok());
   EXPECT_TRUE(avg_rounds.empty());
+}
+
+TEST_F(IngestServiceTest, FoldedShiftMatchesTheReportedGeneration) {
+  // Absorber off, so the base answer never moves and generation g means
+  // exactly batches 1..g are in the delta. Batch i holds kRows rows of value
+  // i, so every prefix sum is an exact integer and each answer must equal
+  // base + prefix[generation] bit for bit: a fold that saw a batch newer
+  // than the generation it reports is off by a whole batch.
+  constexpr size_t kBatches = 300;
+  constexpr size_t kRows = 8;
+  constexpr int kReaders = 2;
+  const RangeQuery q = MakeQuery(AggregateFunction::kSum, 1, 100, 1, 50);
+
+  QueryOutcome base = service_->Execute(sid_, q);
+  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
+  ASSERT_EQ(base.ingest_generation, 0u);
+
+  std::vector<std::shared_ptr<Table>> batches;
+  std::vector<double> prefix = {0.0};
+  for (size_t i = 1; i <= kBatches; ++i) {
+    auto batch = MakeBatch(kRows, testutil::TestSeed(7000 + i));
+    auto& a = batch->mutable_column(2).MutableDoubleData();
+    std::fill(a.begin(), a.end(), static_cast<double>(i));
+    batches.push_back(std::move(batch));
+    prefix.push_back(prefix.back() + static_cast<double>(kRows * i));
+  }
+
+  std::atomic<bool> writing{true};
+  std::atomic<size_t> answers{0};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      auto session = service_->sessions().Open("fold-reader");
+      AQPP_CHECK_OK(session.status());
+      const uint64_t sid = (*session)->id();
+      // At least a few answers after the last commit, however the threads
+      // happen to be scheduled.
+      for (int tail = 0; tail < 10;) {
+        if (!writing.load()) ++tail;
+        QueryOutcome out = service_->Execute(sid, q);
+        if (!out.status.ok() || !out.delta_folded ||
+            out.ingest_generation > kBatches ||
+            !SameBits(out.ci.estimate,
+                      base.ci.estimate + prefix[out.ingest_generation])) {
+          ++mismatches;
+        }
+        ++answers;
+      }
+    });
+  }
+  for (size_t i = 0; i < kBatches; ++i) {
+    // Pace the writer so commits land among the reads, not before them.
+    while (answers.load() < kReaders * i) std::this_thread::yield();
+    EXPECT_TRUE(ingest_->Append(*batches[i]).ok());
+  }
+  writing.store(false);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u) << "of " << answers.load() << " answers";
+  QueryOutcome last = service_->Execute(sid_, q);
+  ASSERT_TRUE(last.status.ok());
+  EXPECT_EQ(last.ingest_generation, kBatches);
+  EXPECT_TRUE(SameBits(last.ci.estimate, base.ci.estimate + prefix.back()));
 }
 
 // ---------------------------------------------------------------------------

@@ -536,10 +536,9 @@ TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
   q.predicate.Add({0, 1, 50});
   (void)batch.ExecuteBatch({q, q});
 
-  // A lone batchable admission job walks the window-wait path.
+  // A lone batchable admission job walks the batch-formation path.
   AdmissionOptions aopts;
   aopts.num_workers = 1;
-  aopts.batch_window_seconds = 0.0001;
   AdmissionController ctrl(aopts);
   std::promise<void> ran;
   AdmissionController::Job job;
@@ -565,8 +564,6 @@ TEST(BatchMetricsTest, BatchAndSingleFlightSeriesNamesArePinned) {
   EXPECT_NE(text.find("# TYPE aqpp_batch_queries_fused_total counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE aqpp_batch_size histogram\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("# TYPE aqpp_batch_window_wait_seconds histogram\n"),
             std::string::npos);
   EXPECT_NE(text.find("# TYPE aqpp_single_flight_attached_total counter\n"),
             std::string::npos);

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -535,6 +536,39 @@ TEST_F(CoordinatorTcpTest, ClientDegradedRetryPolicy) {
 
   client->Close();
   front.Stop();
+}
+
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(CoordinatorTcpTest, FinishedConnectionThreadsAreReaped) {
+  // The coordinator opens a fresh connection per PARTIAL. A worker that kept
+  // every finished connection thread until Stop() held one unjoined thread,
+  // and its stack mapping, per query served; reaped threads leave the
+  // mapping count flat however many queries go by.
+  PartialSpec spec;
+  spec.query = MakeQuery(AggregateFunction::kSum, 30, 90, 1, 25);
+  spec.wants.sample = true;
+  const std::string line = "PARTIAL " + FormatPartialSpec(spec);
+  auto partial_over_fresh_connection = [&] {
+    auto client = ServiceClient::Connect("127.0.0.1", servers_[0]->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    auto reply = client->Call(line);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_TRUE(reply->ok);
+  };
+
+  for (int i = 0; i < 100; ++i) partial_over_fresh_connection();
+  const size_t warm = MappingCount();
+  for (int i = 0; i < 2000; ++i) partial_over_fresh_connection();
+  const size_t after = MappingCount();
+  // Unreaped, 2000 connections add about two mappings each (stack plus
+  // guard page).
+  EXPECT_LT(after, warm + 200) << "warm " << warm << ", after " << after;
 }
 
 }  // namespace
