@@ -43,6 +43,14 @@ class Rng {
   // Bernoulli(p).
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
+  // Binomial(n, p): successes in n independent Bernoulli(p) trials, exact.
+  // Inversion when n * min(p, 1 - p) < 10, else Hormann's (1993)
+  // transformed rejection with squeeze (BTRS). Consumes only this
+  // generator (no <random> distribution, whose algorithm is left to each
+  // standard library), and none of it when p is 0 or 1. Requires
+  // 0 <= p <= 1.
+  uint64_t NextBinomial(uint64_t n, double p);
+
   // Forks a statistically independent child generator (for parallel use).
   Rng Fork();
 

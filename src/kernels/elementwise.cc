@@ -45,13 +45,5 @@ void WeightedDifferenceContribs2(const double* v, const double* w,
   }
 }
 
-double GatherSum(const double* v, const uint32_t* idx, size_t k) {
-  double sum = 0.0;
-  for (size_t j = 0; j < k; ++j) {
-    sum += v[idx[j]];
-  }
-  return sum;
-}
-
 }  // namespace kernels
 }  // namespace aqpp

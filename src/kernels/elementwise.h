@@ -2,10 +2,10 @@
 //
 // These back the sample-side estimator and the progressive prefix executor:
 // masking measures, forming the AQP++ difference series
-// y_i = A_i * (cond_q(i) - cond_pre(i)), building weighted bootstrap
-// contribution arrays, and gathering bootstrap resample sums. Each kernel is
-// arithmetically identical to the row loop it replaces (same expression,
-// same evaluation order), so estimates are bit-for-bit unchanged.
+// y_i = A_i * (cond_q(i) - cond_pre(i)), and building weighted bootstrap
+// contribution arrays. Each kernel is arithmetically identical to the row
+// loop it replaces (same expression, same evaluation order), so estimates
+// are bit-for-bit unchanged.
 
 #ifndef AQPP_KERNELS_ELEMENTWISE_H_
 #define AQPP_KERNELS_ELEMENTWISE_H_
@@ -37,10 +37,6 @@ void WeightedDifferenceContribs(const double* v, const double* w,
 void WeightedDifferenceContribs2(const double* v, const double* w,
                                  const uint8_t* q, const uint8_t* p, size_t n,
                                  double* s2, double* s, double* c);
-
-// Sum of v[idx[j]] for j in [0, k), accumulated in index order (bootstrap
-// resample sums; identical order to the scalar gather loop it replaces).
-double GatherSum(const double* v, const uint32_t* idx, size_t k);
 
 }  // namespace kernels
 }  // namespace aqpp

@@ -1,8 +1,9 @@
 // Closed-form, distribution-sensitive confidence intervals.
 //
-// The percentile bootstrap (stats/bootstrap.h) adapts to skew automatically
-// but costs resamples × n work and consumes RNG draws. These constructors
-// get the same sensitivity analytically: a CLT interval widened by a
+// The percentile bootstrap (synopsis/estimator.h) adapts to skew
+// automatically but costs resamples × m work (m = sample rows where query
+// and box differ) and consumes RNG draws. These constructors get the same
+// sensitivity analytically: a CLT interval widened by a
 // third-moment (Johnson/Edgeworth) correction term, so heavy-tailed measure
 // distributions produce wider intervals than the plain normal approximation
 // would — at closed-form cost and with zero randomness.

@@ -67,7 +67,9 @@ class MeasureCache {
 // AVG = (pre.sum + ŝ) / (pre.count + ĉ) with numerator/denominator estimated
 // by difference; percentile-bootstrap CI over the paired per-row
 // contributions s_contrib[i] = w_i * A_i * diff_i, c_contrib[i] = w_i *
-// diff_i (the paper's Section 4.2.2 procedure).
+// diff_i (the paper's Section 4.2.2 procedure). diff_i is zero wherever the
+// query and the pre box agree, so each resample draws only onto the m rows
+// where a contribution is nonzero: O(m) per resample after one O(n) sweep.
 ConfidenceInterval AvgDifferenceBootstrapCI(
     const std::vector<double>& s_contrib, const std::vector<double>& c_contrib,
     const PreValues& pre, double confidence_level, size_t resamples, Rng& rng);

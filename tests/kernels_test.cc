@@ -349,14 +349,6 @@ TEST(ElementwiseKernelTest, MatchesScalarExpressions) {
     EXPECT_EQ(Bits(s[i]), Bits(w[i] * v[i] * diff));
     EXPECT_EQ(Bits(c[i]), Bits(w[i] * diff));
   }
-  // GatherSum accumulates in index order.
-  std::vector<uint32_t> idx(n);
-  double expect = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    idx[i] = static_cast<uint32_t>(rng.NextBounded(n));
-    expect += v[idx[i]];
-  }
-  EXPECT_EQ(Bits(kernels::GatherSum(v.data(), idx.data(), n)), Bits(expect));
 }
 
 TEST(BinningKernelTest, CellIdsMatchBucketSearch) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "stats/bootstrap.h"
 #include "stats/confidence.h"
 #include "stats/descriptive.h"
 #include "stats/distributions.h"
@@ -114,38 +113,6 @@ TEST(ConfidenceTest, IntervalSemantics) {
   EXPECT_FALSE(ci.Contains(1005.01));
   EXPECT_DOUBLE_EQ(ci.error(), 5.0);
   EXPECT_DOUBLE_EQ(ci.RelativeErrorVs(1000.0), 0.005);
-}
-
-// ---- Bootstrap ------------------------------------------------------------------
-
-TEST(BootstrapTest, SumCIMatchesCLTScale) {
-  // Contributions are iid N(mu, sigma^2); the bootstrap CI of the sum should
-  // be close to the CLT interval lambda * sigma * sqrt(n).
-  Rng rng = testutil::MakeTestRng(41);
-  constexpr size_t kN = 2000;
-  std::vector<double> contrib(kN);
-  for (auto& c : contrib) c = 10.0 + 2.0 * rng.NextGaussian();
-  BootstrapOptions opt;
-  opt.num_resamples = 400;
-  auto ci = BootstrapSumCI(contrib, rng, opt);
-  double expected_halfwidth = 1.96 * 2.0 * std::sqrt(static_cast<double>(kN));
-  EXPECT_NEAR(ci.estimate, 10.0 * kN, 4 * expected_halfwidth);
-  EXPECT_NEAR(ci.half_width, expected_halfwidth, expected_halfwidth * 0.3);
-}
-
-TEST(BootstrapTest, GenericStatisticMean) {
-  Rng rng = testutil::MakeTestRng(43);
-  constexpr size_t kN = 500;
-  std::vector<double> data(kN);
-  for (auto& x : data) x = 5.0 + rng.NextGaussian();
-  auto statistic = [&](const std::vector<size_t>& idx) {
-    double s = 0;
-    for (size_t i : idx) s += data[i];
-    return s / static_cast<double>(idx.size());
-  };
-  auto ci = BootstrapCI(kN, statistic, rng, {.num_resamples = 300});
-  EXPECT_NEAR(ci.estimate, 5.0, 0.2);
-  EXPECT_NEAR(ci.half_width, 1.96 / std::sqrt(static_cast<double>(kN)), 0.04);
 }
 
 // ---- Distributions ----------------------------------------------------------------
