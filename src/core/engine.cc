@@ -44,6 +44,9 @@ Result<std::unique_ptr<AqppEngine>> AqppEngine::Create(
   if (options.cube_budget == 0) {
     return Status::InvalidArgument("cube_budget must be > 0");
   }
+  if (options.bootstrap_resamples < 2) {
+    return Status::InvalidArgument("bootstrap_resamples must be at least 2");
+  }
   return std::unique_ptr<AqppEngine>(
       new AqppEngine(std::move(table), std::move(options)));
 }

@@ -19,6 +19,9 @@ Result<std::unique_ptr<MultiTemplateEngine>> MultiTemplateEngine::Create(
   if (options.total_cube_budget == 0) {
     return Status::InvalidArgument("total_cube_budget must be > 0");
   }
+  if (options.bootstrap_resamples < 2) {
+    return Status::InvalidArgument("bootstrap_resamples must be at least 2");
+  }
   return std::unique_ptr<MultiTemplateEngine>(
       new MultiTemplateEngine(std::move(table), std::move(options)));
 }

@@ -302,6 +302,10 @@ Status ReservoirSynopsis::DeserializeFrom(const std::string& bytes) {
       !r.GetF64(&inflation) || !r.GetU64(&rows_seen)) {
     return Status::InvalidArgument("truncated synopsis header");
   }
+  if (resamples < 2) {
+    return Status::InvalidArgument(
+        "synopsis header: bootstrap_resamples must be at least 2");
+  }
   AQPP_ASSIGN_OR_RETURN(Sample sample, GetSample(&r));
   if (!r.Done()) return Status::InvalidArgument("trailing synopsis bytes");
   if (sample.size() == 0) {

@@ -132,6 +132,9 @@ Result<std::unique_ptr<Synopsis>> CreateSynopsis(const std::string& kind,
   if (opts.sample_rate <= 0 || opts.sample_rate > 1) {
     return Status::InvalidArgument("sample_rate must be in (0, 1]");
   }
+  if (opts.bootstrap_resamples < 2) {
+    return Status::InvalidArgument("bootstrap_resamples must be at least 2");
+  }
   SynopsisFactory factory;
   {
     std::lock_guard<std::mutex> lock(RegistryMutex());

@@ -65,7 +65,7 @@ namespace synopsis {
 
 struct SynopsisOptions {
   double confidence_level = 0.95;
-  // Resamples for bootstrap CIs (reservoir AVG/VAR paths).
+  // Resamples for bootstrap CIs (reservoir AVG/VAR paths); at least 2.
   size_t bootstrap_resamples = 120;
   // Build-time sampling budget as a fraction of the population.
   double sample_rate = 0.01;
